@@ -5,7 +5,7 @@
 //! per host per day) while staying deterministic from the seed alone.
 //! The always-on test pins thread-invariance at a small fleet; the
 //! `--ignored` tests are the CI fleet gate — a seeded 1000-host run
-//! whose in-window control steps must fit a wall-clock budget (at the
+//! whose whole operating window must fit a wall-clock budget (at the
 //! engine thread count from `BAAT_ENGINE_THREADS`), an 8-thread
 //! sharding speedup gate, a 10 000-host wall-clock smoke, and
 //! byte-identity across runner thread counts. Run them release-mode:
@@ -22,13 +22,13 @@ use baat_obs::Obs;
 use baat_sim::{EngineThreads, SimConfig, Simulation};
 use baat_solar::Weather;
 
-/// Wall-clock budget for the timed 1000-host control-interval window,
+/// Wall-clock budget for the timed 1000-host operating window,
 /// overridable for slow CI hosts via `BAAT_FLEET_BUDGET_SECS`.
 fn budget_secs() -> f64 {
     std::env::var("BAAT_FLEET_BUDGET_SECS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0)
+        .unwrap_or(10.0)
 }
 
 /// Engine worker threads for the wall-clock gates: `BAAT_ENGINE_THREADS`
@@ -87,20 +87,42 @@ fn small_fleet_is_deterministic_across_runner_threads() {
     assert!(sequential.iter().all(|r| r.total_work > 0.0));
 }
 
-/// The CI fleet gate, part 1: a 1000-host BAAT day's first in-window
-/// hour (120 steps at dt=30 s — twelve control intervals of placement,
-/// control and battery stepping) must complete inside the wall-clock
-/// budget. The overnight prefix is warmed up untimed; only the
-/// in-window hour is measured.
+/// Admission work is counted, not timed, so this gate cannot flake on a
+/// slow host. On the seeded 300-host cloudy BAAT day the pending queue
+/// is retried at every control interval; walking every queued VM over
+/// every host costs about 143 M host checks, and skipping requests that
+/// an earlier, no-larger request already failed brings that near 1 M.
+/// The 5 M bound fails on any regression back to the full walk.
+#[test]
+fn fleet_300_day_admission_walk_stays_near_linear() {
+    let mut sim = Simulation::new(fleet_config(300, Weather::Cloudy, 42)).expect("valid fleet");
+    let mut policy = Scheme::Baat.build();
+    let steps = sim.total_steps();
+    sim.run_steps(&mut policy, steps).expect("fleet day runs");
+    let stats = sim.admission_stats();
+    eprintln!("300-host BAAT day admission work: {stats:?}");
+    assert!(
+        stats.hosts_examined < 5_000_000,
+        "admission walks examined {} hosts (bound 5 M): {stats:?}",
+        stats.hosts_examined
+    );
+    assert!(stats.dominated_skips > 0, "the skip never fired: {stats:?}");
+}
+
+/// The CI fleet gate, part 1: a 1000-host BAAT day's whole operating
+/// window, 08:30–18:30 (1,200 steps at dt=30 s — 120 control intervals
+/// of placement, control and battery stepping, including the stressed
+/// afternoon where most of the day's cost falls), must complete inside
+/// the wall-clock budget. The overnight prefix is warmed up untimed.
 #[test]
 #[ignore = "release-mode fleet gate: run with --ignored"]
-fn fleet_1k_control_hour_fits_wall_clock_budget() {
+fn fleet_1k_operating_window_fits_wall_clock_budget() {
     let config = with_engine_threads(fleet_config(1000, Weather::Cloudy, 7), engine_threads());
-    let elapsed = timed_window_secs(config, 3600); // one simulated hour
+    let elapsed = timed_window_secs(config, 10 * 3600); // 08:30 → 18:30
     let budget = budget_secs();
     assert!(
         elapsed < budget,
-        "1000-host in-window hour took {elapsed:.2}s at {} engine threads, budget {budget}s \
+        "1000-host operating window took {elapsed:.2}s at {} engine threads, budget {budget}s \
          (override with BAAT_FLEET_BUDGET_SECS)",
         engine_threads()
     );

@@ -51,7 +51,7 @@ pub use availability::{
 pub use lifetime::{estimate_lifetime, weather_plan_for_sunshine, LifetimeEstimate};
 pub use policy::{
     best_migration_target, classify_workload, heaviest_movable_vm, node_weighted_aging,
-    rank_by_weighted_aging, Baat, BaatConfig, BaatH, BaatS, EBuff, PlannedAging,
+    rank_by_weighted_aging, Baat, BaatConfig, BaatH, BaatS, EBuff, IntervalRanking, PlannedAging,
     SlowdownThresholds,
 };
 pub use scheme::Scheme;

@@ -26,7 +26,8 @@ use baat_workload::{DemandClass, EnergyDemand, PowerDemand, VmId, WorkloadKind};
 
 use crate::policy::baat_s::SlowdownThresholds;
 use crate::policy::common::{
-    best_migration_target, classify_workload, heaviest_movable_vm, rank_by_weighted_aging,
+    classify_workload, heaviest_movable_vm, node_weighted_aging, rank_by_weighted_aging,
+    IntervalRanking,
 };
 
 /// Planned-aging configuration (§IV.D).
@@ -146,14 +147,16 @@ impl Baat {
     /// battery energy *rationed over the rest of the operating day*, so
     /// the battery neither trips the cutoff nor strands reserve (paper's
     /// 2-minute reserve rule [42] becomes a 5 % SoC margin).
+    /// `total_demand` is the interval's [`SystemView::total_demand`] in
+    /// watts, computed once by the caller.
     fn fit_dvfs_level(
         &self,
         view: &SystemView,
+        total_demand: f64,
         node: &NodeView,
         defend_line: Option<Soc>,
     ) -> baat_server::DvfsLevel {
         use baat_server::DvfsLevel;
-        let total_demand = view.total_demand().as_f64();
         let solar_share = if total_demand > 0.0 {
             view.solar.as_f64() * node.server_power.as_f64() / total_demand
         } else {
@@ -240,6 +243,11 @@ impl Policy for Baat {
         // move would fail identically, so fall through to DVFS this round
         // and re-evaluate next interval.
         let blocked: Vec<VmId> = ctx.rejected_migrations().collect();
+        // Per-interval aggregates: the view is fixed while the policy
+        // decides, so total demand and each class's ranking are computed
+        // once and shared by every node below and by the balance pass.
+        let total_demand = view.total_demand().as_f64();
+        let mut ranks = IntervalRanking::new(view, self.config.min_target_soc);
 
         // Slowdown pass (Fig 9), migration-first.
         for node in &view.nodes {
@@ -258,14 +266,9 @@ impl Policy for Baat {
                         return None;
                     }
                     let class = classify_workload(vm.kind, &self.config.server_power);
-                    best_migration_target(
-                        view,
-                        node.node,
-                        vm.kind,
-                        class,
-                        self.config.min_target_soc,
-                    )
-                    .map(|target| (vm.id, target))
+                    ranks
+                        .migration_target(node.node, vm.kind, class)
+                        .map(|target| (vm.id, target))
                 });
                 if let Some((vm, target)) = migration {
                     self.counters.slowdown_migrations.inc();
@@ -280,7 +283,7 @@ impl Policy for Baat {
             // release as soon as supply returns. Below the deep line the
             // battery reserve is defended aggressively.
             let defend = (node.soc < deep_soc).then_some(deep_soc);
-            let level = self.fit_dvfs_level(view, node, defend);
+            let level = self.fit_dvfs_level(view, total_demand, node, defend);
             if level != node.dvfs {
                 self.counters.dvfs_adjustments.inc();
                 actions.push(Action::SetDvfs {
@@ -294,14 +297,14 @@ impl Policy for Baat {
         if self.cooldown > 0 {
             self.cooldown -= 1;
         } else if view.nodes.len() >= 2 {
-            let ranked = rank_by_weighted_aging(view, BALANCE_CLASS);
+            let ranked = ranks.ranking(BALANCE_CLASS);
             let (Some(&first), Some(&last)) = (ranked.first(), ranked.last()) else {
                 return actions;
             };
             let best = &view.nodes[first];
             let worst = &view.nodes[last];
-            let worst_w = crate::policy::common::node_weighted_aging(worst, BALANCE_CLASS);
-            let best_w = crate::policy::common::node_weighted_aging(best, BALANCE_CLASS);
+            let worst_w = node_weighted_aging(worst, BALANCE_CLASS);
+            let best_w = node_weighted_aging(best, BALANCE_CLASS);
             let gap = if best_w > 1e-6 {
                 worst_w / best_w - 1.0
             } else if worst_w > 0.02 {
@@ -317,13 +320,7 @@ impl Policy for Baat {
                         self.counters.rejected_backoffs.inc();
                     } else if !migrated_vms.contains(&vm.id) {
                         let class = classify_workload(vm.kind, &self.config.server_power);
-                        if let Some(target) = best_migration_target(
-                            view,
-                            worst.node,
-                            vm.kind,
-                            class,
-                            self.config.min_target_soc,
-                        ) {
+                        if let Some(target) = ranks.migration_target(worst.node, vm.kind, class) {
                             self.counters.balance_migrations.inc();
                             actions.push(Action::Migrate { vm: vm.id, target });
                             self.cooldown = self.config.balance_cooldown;
@@ -446,13 +443,18 @@ mod tests {
         let mut rich = stressed_loaded_node(0);
         rich.battery_available = baat_units::Watts::new(400.0);
         let v_rich = view_of(vec![rich.clone(), plain_node(1, 0.9)]);
-        let fast = p.fit_dvfs_level(&v_rich, &rich, None);
+        let fast = p.fit_dvfs_level(&v_rich, v_rich.total_demand().as_f64(), &rich, None);
 
         let mut poor = rich;
         poor.battery_available = baat_units::Watts::new(10.0);
         let mut v_poor = view_of(vec![poor.clone(), plain_node(1, 0.9)]);
         v_poor.solar = baat_units::Watts::ZERO;
-        let slow = p.fit_dvfs_level(&v_poor, &poor, Some(Soc::DEEP_DISCHARGE_THRESHOLD));
+        let slow = p.fit_dvfs_level(
+            &v_poor,
+            v_poor.total_demand().as_f64(),
+            &poor,
+            Some(Soc::DEEP_DISCHARGE_THRESHOLD),
+        );
         assert!(
             fast < slow,
             "fast {fast} should be a higher P-state than {slow}"

@@ -1,6 +1,6 @@
 //! Shared decision helpers for the Table-4 policies.
 
-use baat_metrics::weighted_aging;
+use baat_metrics::{class_index, weighted_aging};
 use baat_server::ServerPowerModel;
 use baat_sim::{NodeView, SystemView, VmView};
 use baat_workload::{DemandClass, VmState, WorkloadKind};
@@ -21,43 +21,105 @@ pub fn node_weighted_aging(node: &NodeView, class: DemandClass) -> f64 {
 /// rank): least-aged battery first. Degraded nodes (stale telemetry —
 /// their metrics are last-known-good, not current) sort after every
 /// healthy node regardless of apparent aging.
+///
+/// Each node's key is evaluated once, then a stable sort orders the
+/// nodes by it — the same comparator outcomes as evaluating the key per
+/// comparison, so the order is identical.
 pub fn rank_by_weighted_aging(view: &SystemView, class: DemandClass) -> Vec<usize> {
+    let keys: Vec<(bool, f64)> = view
+        .nodes
+        .iter()
+        .map(|n| (n.degraded, node_weighted_aging(n, class)))
+        .collect();
     let mut order: Vec<usize> = view.nodes.iter().map(|n| n.node).collect();
     order.sort_by(|&a, &b| {
-        let (na, nb) = (&view.nodes[a], &view.nodes[b]);
-        na.degraded
-            .cmp(&nb.degraded)
-            .then(node_weighted_aging(na, class).total_cmp(&node_weighted_aging(nb, class)))
+        let (ka, kb) = (keys[a], keys[b]);
+        ka.0.cmp(&kb.0).then(ka.1.total_cmp(&kb.1))
     });
     order
 }
 
-/// Picks the best migration target for a VM currently on `source`:
-/// the lowest-weighted-aging node that is online, not degraded, has the
-/// resources, and has a comfortably charged battery. Returns `None` when no node
-/// qualifies (the Fig 9 "VM cannot be migrated due to resource
-/// constraints" branch).
+/// `true` when `node` could receive a migrated VM at all, resources
+/// aside: online, not degraded, and holding at least `min_target_soc`.
+fn charged_target(node: &NodeView, min_target_soc: f64) -> bool {
+    node.online && !node.degraded && node.soc.value() >= min_target_soc
+}
+
+/// Picks the best migration target for a VM currently on `source` from
+/// a precomputed weighted-aging `ranked` order: the first ranked node
+/// that is online, not degraded, has the resources, and has a
+/// comfortably charged battery. Returns `None` when no node qualifies
+/// (the Fig 9 "VM cannot be migrated due to resource constraints"
+/// branch).
 pub fn best_migration_target(
     view: &SystemView,
+    ranked: &[usize],
     source: usize,
     kind: WorkloadKind,
-    class: DemandClass,
     min_target_soc: f64,
 ) -> Option<usize> {
     let request = kind.resource_request();
-    rank_by_weighted_aging(view, class)
-        .into_iter()
-        .find(|&candidate| {
-            if candidate == source {
-                return false;
-            }
-            let node = &view.nodes[candidate];
-            node.online
-                && !node.degraded
-                && node.soc.value() >= min_target_soc
-                && node.free_resources.0 >= request.0
-                && node.free_resources.1 >= request.1
-        })
+    ranked.iter().copied().find(|&candidate| {
+        let node = &view.nodes[candidate];
+        candidate != source
+            && charged_target(node, min_target_soc)
+            && node.free_resources.0 >= request.0
+            && node.free_resources.1 >= request.1
+    })
+}
+
+/// One control interval's migration-target search over a fixed
+/// [`SystemView`]. The view does not change while a policy decides, so
+/// each demand class is ranked at most once per interval (lazily, on its
+/// first query), and a single O(n) precheck — does any node pass the
+/// online, not-degraded and charged test? — answers every target query
+/// with `None` without ranking or scanning when it fails.
+#[derive(Debug)]
+pub struct IntervalRanking<'v> {
+    view: &'v SystemView,
+    min_target_soc: f64,
+    any_charged: bool,
+    ranks: [Option<Vec<usize>>; 4],
+}
+
+impl<'v> IntervalRanking<'v> {
+    /// Starts an interval's search over `view` for targets holding at
+    /// least `min_target_soc`.
+    pub fn new(view: &'v SystemView, min_target_soc: f64) -> Self {
+        Self {
+            view,
+            min_target_soc,
+            any_charged: view.nodes.iter().any(|n| charged_target(n, min_target_soc)),
+            ranks: [None, None, None, None],
+        }
+    }
+
+    /// `false` when no node is online, healthy and charged enough to be
+    /// a migration target — every [`Self::migration_target`] is `None`.
+    pub fn any_viable_target(&self) -> bool {
+        self.any_charged
+    }
+
+    /// The interval's [`rank_by_weighted_aging`] order for `class`,
+    /// computed on the first query.
+    pub fn ranking(&mut self, class: DemandClass) -> &[usize] {
+        let view = self.view;
+        self.ranks[class_index(class)].get_or_insert_with(|| rank_by_weighted_aging(view, class))
+    }
+
+    /// [`best_migration_target`] over the cached `class` ranking.
+    pub fn migration_target(
+        &mut self,
+        source: usize,
+        kind: WorkloadKind,
+        class: DemandClass,
+    ) -> Option<usize> {
+        if !self.any_charged {
+            return None;
+        }
+        let (view, min_target_soc) = (self.view, self.min_target_soc);
+        best_migration_target(view, self.ranking(class), source, kind, min_target_soc)
+    }
 }
 
 /// Selects the most demanding movable (running, non-service) VM on a
@@ -201,7 +263,8 @@ mod tests {
             node(1, metrics(5.0, 0.9), 0.9, (1, 2)),    // best battery, no room
             node(2, metrics(50.0, 0.8), 0.8, (8, 16)),  // viable
         ]);
-        let target = best_migration_target(&v, 0, WorkloadKind::KMeans, class(), 0.6).unwrap();
+        let ranked = rank_by_weighted_aging(&v, class());
+        let target = best_migration_target(&v, &ranked, 0, WorkloadKind::KMeans, 0.6).unwrap();
         assert_eq!(target, 2);
     }
 
@@ -211,8 +274,15 @@ mod tests {
             node(0, metrics(200.0, 0.2), 0.2, (8, 16)),
             node(1, metrics(5.0, 0.9), 0.3, (8, 16)), // too discharged
         ]);
+        let ranked = rank_by_weighted_aging(&v, class());
         assert_eq!(
-            best_migration_target(&v, 0, WorkloadKind::KMeans, class(), 0.6),
+            best_migration_target(&v, &ranked, 0, WorkloadKind::KMeans, 0.6),
+            None
+        );
+        let mut interval = IntervalRanking::new(&v, 0.6);
+        assert!(!interval.any_viable_target(), "no node holds 60 % charge");
+        assert_eq!(
+            interval.migration_target(0, WorkloadKind::KMeans, class()),
             None
         );
     }

@@ -11,6 +11,6 @@ pub use baat_h::BaatH;
 pub use baat_s::{BaatS, SlowdownThresholds};
 pub use common::{
     best_migration_target, classify_workload, heaviest_movable_vm, node_weighted_aging,
-    rank_by_weighted_aging,
+    rank_by_weighted_aging, IntervalRanking,
 };
 pub use e_buff::EBuff;

@@ -8,13 +8,26 @@
 //! forcing the legacy path on the *same* policy — so a full-run
 //! comparison between the two pins the ranker to the recompute path
 //! byte for byte, across clean, faulted and pre-aged runs.
+//!
+//! The same holds for BAAT's control pass: the per-interval
+//! [`IntervalRanking`] (one ranking per demand class, a viable-target
+//! precheck) must answer exactly what a from-scratch ranking plus a
+//! linear target scan answers.
 
-use baat_core::{classify_workload, rank_by_weighted_aging, Scheme};
+use baat_core::{
+    best_migration_target, classify_workload, node_weighted_aging, rank_by_weighted_aging,
+    IntervalRanking, Scheme,
+};
+use baat_metrics::{AgingMetrics, DischargeRate, PartialCycling, DEMAND_CLASSES};
+use baat_server::{DvfsLevel, ServerPowerModel};
 use baat_sim::{
-    FaultMix, FaultPlan, PlacementSpec, ScratchPlacement, SimConfig, SimReport, Simulation,
+    FaultMix, FaultPlan, NodeView, PlacementSpec, ScratchPlacement, SimConfig, SimReport,
+    Simulation, SystemView,
 };
 use baat_solar::Weather;
-use baat_units::SimDuration;
+use baat_testkit::collection::vec;
+use baat_testkit::prelude::*;
+use baat_units::{Fraction, SimDuration, SimInstant, Soc, TimeOfDay, Watts};
 use baat_workload::WorkloadKind;
 
 const SCHEMES: [Scheme; 4] = [Scheme::EBuff, Scheme::BaatS, Scheme::BaatH, Scheme::Baat];
@@ -139,4 +152,152 @@ fn incremental_rank_equals_scratch_rank_at_stepped_offsets() {
         "the heavy fault plan must degrade at least one node mid-run \
          (otherwise the degraded sort-after rule went unexercised)"
     );
+}
+
+/// A node whose aging metrics, flags, charge and free resources come
+/// from small value sets, so equal scores (ties), degraded and offline
+/// nodes, and SoCs exactly at the target line all occur often.
+fn random_node(
+    i: usize,
+    (nat, cf, pc): (usize, usize, usize),
+    (soc, online, degraded): (usize, u8, u8),
+    free: (u32, u32),
+) -> NodeView {
+    const NATS: [f64; 4] = [0.0, 0.1, 0.2, 0.35];
+    const CFS: [Option<f64>; 3] = [None, Some(0.9), Some(1.2)];
+    const PCS: [[f64; 4]; 3] = [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.2, 0.3, 0.3, 0.2],
+        [0.0, 0.0, 0.2, 0.8],
+    ];
+    const SOCS: [f64; 5] = [0.1, 0.3, 0.45, 0.6, 0.95];
+    let metrics = AgingMetrics {
+        nat: NATS[nat],
+        cf: CFS[cf],
+        pc: PartialCycling {
+            share_by_range: PCS[pc],
+        },
+        ddt: Fraction::saturating(0.1),
+        dr: DischargeRate {
+            peak_c_rate: 0.1,
+            mean_c_rate: 0.1,
+        },
+    };
+    NodeView {
+        node: i,
+        soc: Soc::new(SOCS[soc]).expect("valid soc"),
+        window_metrics: metrics,
+        lifetime_metrics: metrics,
+        damage: 0.0,
+        capacity_fraction: 1.0,
+        server_power: Watts::new(100.0),
+        utilization: Fraction::HALF,
+        dvfs: DvfsLevel::P0,
+        online: online > 0,
+        degraded: degraded == 0,
+        free_resources: free,
+        vms: Vec::new(),
+        battery_available: Watts::new(300.0),
+        battery_capacity_wh: 840.0,
+        battery_capacity_ah: 70.0,
+        battery_lifetime_throughput_ah: 35_000.0,
+        soc_floor: Soc::EMPTY,
+        cutoff_events: 0,
+        hours_since_full: 0.0,
+    }
+}
+
+/// The ranking as the per-comparison comparator defines it: degraded
+/// last, then ascending Eq-6 weighted aging, evaluated on every
+/// comparison, stable over ascending node ids.
+fn comparator_rank(view: &SystemView, class: baat_workload::DemandClass) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..view.nodes.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (na, nb) = (&view.nodes[a], &view.nodes[b]);
+        na.degraded
+            .cmp(&nb.degraded)
+            .then(node_weighted_aging(na, class).total_cmp(&node_weighted_aging(nb, class)))
+    });
+    order
+}
+
+/// The target as Fig 9 defines it, scanned linearly over a
+/// from-scratch ranking: the best-ranked node other than the source that
+/// is online, healthy, charged to the line and has room for the VM.
+fn linear_target(
+    view: &SystemView,
+    source: usize,
+    kind: WorkloadKind,
+    min_target_soc: f64,
+) -> Option<usize> {
+    let class = classify_workload(kind, &ServerPowerModel::prototype());
+    let (cores, memory) = kind.resource_request();
+    rank_by_weighted_aging(view, class).into_iter().find(|&c| {
+        let n = &view.nodes[c];
+        c != source
+            && n.online
+            && !n.degraded
+            && n.soc.value() >= min_target_soc
+            && n.free_resources.0 >= cores
+            && n.free_resources.1 >= memory
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// On random views the interval cache answers every ranking and
+    /// migration-target query exactly as the from-scratch path does,
+    /// for every source node, workload and demand class — including
+    /// views where the precheck finds no viable target at all.
+    #[test]
+    fn interval_ranking_matches_scratch_targets(
+        nodes in vec(
+            ((0usize..4, 0usize..3, 0usize..3), (0usize..5, 0u8..5, 0u8..6), (0u32..9, 0u32..17)),
+            1..14,
+        ),
+        line in 0usize..3,
+    ) {
+        let view = SystemView {
+            now: SimInstant::START,
+            tod: TimeOfDay::NOON,
+            weather: Weather::Cloudy,
+            solar: Watts::new(400.0),
+            nodes: nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &(aging, flags, free))| random_node(i, aging, flags, free))
+                .collect(),
+        };
+        let min_target_soc = [0.45, 0.6, 0.99][line];
+        // Targets are queried first, so each class's ranking is built
+        // lazily by a target query (or not at all when the precheck
+        // fails) and then checked against the scratch ranking.
+        let mut interval = IntervalRanking::new(&view, min_target_soc);
+        let any_charged = view
+            .nodes
+            .iter()
+            .any(|n| n.online && !n.degraded && n.soc.value() >= min_target_soc);
+        prop_assert_eq!(interval.any_viable_target(), any_charged);
+        for source in 0..view.nodes.len() {
+            for kind in WorkloadKind::ALL {
+                let class = classify_workload(kind, &ServerPowerModel::prototype());
+                let expected = linear_target(&view, source, kind, min_target_soc);
+                let ranked = rank_by_weighted_aging(&view, class);
+                prop_assert_eq!(
+                    best_migration_target(&view, &ranked, source, kind, min_target_soc),
+                    expected
+                );
+                prop_assert_eq!(interval.migration_target(source, kind, class), expected);
+                if !any_charged {
+                    prop_assert_eq!(expected, None);
+                }
+            }
+        }
+        for class in DEMAND_CLASSES {
+            let scratch = rank_by_weighted_aging(&view, class);
+            prop_assert_eq!(&scratch, &comparator_rank(&view, class));
+            prop_assert_eq!(interval.ranking(class), &scratch[..]);
+        }
+    }
 }

@@ -42,6 +42,7 @@ use baat_solar::{ClearSky, CloudProcess, PvArray, Weather};
 use baat_units::{Fraction, SimDuration, SimInstant, Soc, TimeOfDay, Volts, WattHours, Watts};
 use baat_workload::{Arrival, Vm, WorkloadGenerator, WorkloadKind};
 
+use crate::admission::{AdmissionPass, AdmissionStats, HostOrders};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::events::{Event, EventLog, TimedEvent};
@@ -419,6 +420,8 @@ pub struct Simulation {
     /// [`PlacementSpec`]s. Never influences simulated state directly —
     /// ranks are bit-identical to the legacy recompute path.
     fleet: FleetView,
+    /// Admission-walk work counters (diagnostics; never snapshotted).
+    admission: AdmissionStats,
     /// Scoped worker pool for intra-step sharding; `None` when the
     /// configured [`crate::EngineThreads`] count is 1 (the reference
     /// sequential path). Results are bit-identical at every thread
@@ -598,6 +601,7 @@ impl Simulation {
             solar_shares,
             scratch: StepScratch::default(),
             fleet,
+            admission: AdmissionStats::default(),
             pool,
             exec_obs,
             config,
@@ -666,6 +670,14 @@ impl Simulation {
         &self.fleet
     }
 
+    /// Cumulative admission-walk work on the [`PlacementSpec`] path:
+    /// passes, VMs tried, hosts examined and dominated skips. Read-only
+    /// diagnostics like [`FleetView::reason_marks`]; restored
+    /// simulations count from zero.
+    pub fn admission_stats(&self) -> AdmissionStats {
+        self.admission
+    }
+
     /// The placement order the incremental fleet ranker produces for
     /// `spec` right now, after refreshing any dirty nodes. Sequential
     /// specs return their static order; `RoundRobin` peeks the cursor
@@ -694,8 +706,12 @@ impl Simulation {
             }
             PlacementSpec::LifetimeNat => NAT_MODE,
         };
-        self.fleet.ensure_mode(mode);
-        Ok((0..n).map(|r| self.fleet.ranked_node(mode, r)).collect())
+        Ok(self
+            .fleet
+            .ranked(mode)
+            .iter()
+            .map(|&i| i as usize)
+            .collect())
     }
 
     /// Runs the configured weather plan to completion under `policy` and
@@ -1154,24 +1170,26 @@ impl Simulation {
                         }
                     }
                 }
-                spec => {
-                    let mut refreshed = false;
+                spec if self.arrivals_today.front().is_some_and(|a| a.at <= tod) => {
+                    {
+                        let _t = obs.time(Stage::PlacementRank);
+                        self.refresh_fleet()?;
+                    }
+                    let mut pass = AdmissionPass::new(&mut self.admission);
                     while let Some(arrival) = self.arrivals_today.front().copied() {
                         if arrival.at > tod {
                             break;
                         }
                         self.arrivals_today.pop_front();
                         let vm = self.generator.spawn(arrival.kind);
-                        if !refreshed {
-                            let _t = obs.time(Stage::PlacementRank);
-                            self.refresh_fleet()?;
-                            refreshed = true;
-                        }
-                        if let Some(vm) = self.place_vm_fast(vm, arrival.kind, spec)? {
+                        if let Some(vm) =
+                            pass.offer(vm, spec, &mut self.fleet, &mut self.cluster)?
+                        {
                             self.pending.push_back(vm);
                         }
                     }
                 }
+                _ => {}
             }
             clock.lap(Stage::Placement);
         }
@@ -1635,49 +1653,6 @@ impl Simulation {
         Ok(Some(vm))
     }
 
-    /// Places a VM through the incremental fleet ranker — no
-    /// [`SystemView`] is built. The admission walk consults the live
-    /// cluster (`is_online` + `fits`), so only the *ranking* is cached;
-    /// any admission since the last refresh is still observed.
-    fn place_vm_fast(
-        &mut self,
-        vm: Vm,
-        kind: WorkloadKind,
-        spec: PlacementSpec,
-    ) -> Result<Option<Vm>, SimError> {
-        let n = self.config.nodes;
-        let (start, mode) = match spec {
-            PlacementSpec::Custom => unreachable!("custom specs use place_vm"),
-            PlacementSpec::FirstFit => (0, None),
-            PlacementSpec::RoundRobin => (self.fleet.rr_next(), None),
-            PlacementSpec::WeightedAging { server_power } => {
-                // Untimed: after the caller's refresh this is a no-op
-                // check; per-VM timer guards here would cost more clock
-                // reads than the work they measure.
-                let mode = class_index(demand_class(kind, &server_power));
-                self.fleet.ensure_mode(mode);
-                (0, Some(mode))
-            }
-            PlacementSpec::LifetimeNat => {
-                self.fleet.ensure_mode(NAT_MODE);
-                (0, Some(NAT_MODE))
-            }
-        };
-        let request = kind.resource_request();
-        for r in 0..n {
-            let node = match mode {
-                None => (start + r) % n,
-                Some(m) => self.fleet.ranked_node(m, r),
-            };
-            let host = self.cluster.host_mut(node)?;
-            if host.is_online() && host.fits(request) {
-                host.admit(vm)?;
-                return Ok(None);
-            }
-        }
-        Ok(Some(vm))
-    }
-
     /// Re-scores exactly the dirty nodes and folds their keys back into
     /// the ranked orders. Bank-level quantities (aging metrics, SoC,
     /// headroom) are computed once per dirty bank per pass, then
@@ -1824,14 +1799,18 @@ impl Simulation {
             self.refresh_fleet()?;
         }
         let _t = obs.time(Stage::Placement);
-        let mut still_pending = VecDeque::with_capacity(self.pending.len());
-        while let Some(vm) = self.pending.pop_front() {
-            let kind = vm.kind();
-            if let Some(vm) = self.place_vm_fast(vm, kind, spec)? {
-                still_pending.push_back(vm);
+        // Rotate the queue in place: each VM is popped once and, if no
+        // host takes it, pushed back behind the ones not yet offered, so
+        // the leftovers keep their arrival order.
+        let mut pass = AdmissionPass::new(&mut self.admission);
+        for _ in 0..self.pending.len() {
+            let Some(vm) = self.pending.pop_front() else {
+                break;
+            };
+            if let Some(vm) = pass.offer(vm, spec, &mut self.fleet, &mut self.cluster)? {
+                self.pending.push_back(vm);
             }
         }
-        self.pending = still_pending;
         Ok(())
     }
 

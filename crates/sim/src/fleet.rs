@@ -34,6 +34,8 @@ use baat_metrics::{weighted_aging_all, AgingMetrics};
 use baat_server::ServerPowerModel;
 use baat_workload::{DemandClass, WorkloadKind};
 
+use crate::admission::HostOrders;
+
 /// Number of weighted-aging ranking modes (one per Table-3 demand
 /// class); mode [`NAT_MODE`] ranks by lifetime NAT alone (BAAT-h).
 const WEIGHTED_MODES: usize = 4;
@@ -414,47 +416,6 @@ impl FleetView {
         self.dirty = dirty;
     }
 
-    /// Builds `mode`'s ranked order from the current caches if this is
-    /// its first query. Callers must refresh (drain the dirty set)
-    /// first, so the caches cover every node.
-    pub(crate) fn ensure_mode(&mut self, mode: usize) {
-        if self.ranks[mode].is_some() {
-            return;
-        }
-        debug_assert!(self.dirty.is_empty(), "refresh before building a mode");
-        let keys: Vec<u128> = (0..self.nodes)
-            .map(|i| {
-                mode_key(
-                    mode,
-                    i,
-                    self.bank_of[i],
-                    &self.bank_weighted,
-                    &self.bank_nat,
-                    &self.degraded,
-                )
-            })
-            .collect();
-        self.ranks[mode] = Some(RankedOrder::build(keys));
-    }
-
-    /// The node at `rank` in `mode`'s current order.
-    pub(crate) fn ranked_node(&self, mode: usize, rank: usize) -> usize {
-        let order = &self.ranks[mode].as_ref().expect("mode built").order;
-        order[rank] as usize
-    }
-
-    /// Advances the round-robin cursor and returns the start index for
-    /// this placement attempt.
-    pub(crate) fn rr_next(&mut self) -> usize {
-        let n = self.nodes;
-        if n == 0 {
-            return 0;
-        }
-        let start = self.rr_cursor % n;
-        self.rr_cursor = (self.rr_cursor + 1) % n;
-        start
-    }
-
     /// Checkpoint view: the raw round-robin cursor.
     pub(crate) fn rr_cursor(&self) -> usize {
         self.rr_cursor
@@ -518,6 +479,42 @@ impl FleetView {
     /// Number of nodes currently awaiting re-scoring.
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
+    }
+}
+
+impl HostOrders for FleetView {
+    /// Advances the engine-owned cursor, once per placement attempt.
+    fn rr_next(&mut self) -> usize {
+        let n = self.nodes;
+        if n == 0 {
+            return 0;
+        }
+        let start = self.rr_cursor % n;
+        self.rr_cursor = (self.rr_cursor + 1) % n;
+        start
+    }
+
+    /// Builds `mode`'s order from the current caches on its first query.
+    /// Callers must refresh (drain the dirty set) first, so the caches
+    /// cover every node.
+    fn ranked(&mut self, mode: usize) -> &[u32] {
+        let rank = self.ranks[mode].get_or_insert_with(|| {
+            debug_assert!(self.dirty.is_empty(), "refresh before building a mode");
+            let keys: Vec<u128> = (0..self.nodes)
+                .map(|i| {
+                    mode_key(
+                        mode,
+                        i,
+                        self.bank_of[i],
+                        &self.bank_weighted,
+                        &self.bank_nat,
+                        &self.degraded,
+                    )
+                })
+                .collect();
+            RankedOrder::build(keys)
+        });
+        &rank.order
     }
 }
 

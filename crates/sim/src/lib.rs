@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 mod config;
 mod engine;
 mod error;
@@ -43,6 +44,7 @@ mod report;
 mod snapshot;
 mod view;
 
+pub use admission::{AdmissionPass, AdmissionStats, HostOrders};
 /// The fault-injection vocabulary, re-exported so consumers can build
 /// [`SimConfig`] fault plans without depending on `baat-faults` directly.
 pub use baat_faults::{

@@ -1,12 +1,17 @@
 //! Property-based tests for engine-level invariants, run on coarse
 //! timesteps to keep the case count affordable.
 
+use baat_metrics::class_index;
+use baat_server::{Cluster, MigrationSpec, ServerCapacity, ServerPowerModel};
 use baat_sim::{
-    run_simulation, FaultMix, FaultPlan, RoundRobinPolicy, ScratchPlacement, SimConfig, Simulation,
+    run_simulation, AdmissionPass, AdmissionStats, FaultMix, FaultPlan, HostOrders, PlacementSpec,
+    RoundRobinPolicy, ScratchPlacement, SimConfig, Simulation,
 };
 use baat_solar::Weather;
+use baat_testkit::collection::vec;
 use baat_testkit::prelude::*;
 use baat_units::SimDuration;
+use baat_workload::{Vm, VmId, WorkloadKind};
 
 fn weather_strategy() -> impl Strategy<Value = Weather> {
     prop_oneof![
@@ -39,6 +44,188 @@ fn faulted_config(weather: Weather, seed: u64, nodes: usize) -> SimConfig {
         .seed(seed)
         .faults(plan);
     b.build().expect("faulted config is valid")
+}
+
+/// Plain-array host orders: a round-robin cursor plus one fixed
+/// permutation per ranking mode (four weighted-aging classes, then NAT).
+#[derive(Debug, Clone, PartialEq)]
+struct ArrayOrders {
+    cursor: usize,
+    modes: Vec<Vec<u32>>,
+}
+
+impl HostOrders for ArrayOrders {
+    fn rr_next(&mut self) -> usize {
+        let n = self.modes[0].len();
+        let start = self.cursor % n;
+        self.cursor = (self.cursor + 1) % n;
+        start
+    }
+
+    fn ranked(&mut self, mode: usize) -> &[u32] {
+        &self.modes[mode]
+    }
+}
+
+/// The four declarative placement specs.
+fn specs() -> [PlacementSpec; 4] {
+    [
+        PlacementSpec::FirstFit,
+        PlacementSpec::RoundRobin,
+        PlacementSpec::WeightedAging {
+            server_power: ServerPowerModel::prototype(),
+        },
+        PlacementSpec::LifetimeNat,
+    ]
+}
+
+/// A random fleet: a shared host capacity, per-host prefill and online
+/// flags (so free resources differ per host), five ranking permutations
+/// and a starting round-robin cursor.
+fn random_fleet(
+    capacity: (u32, u32),
+    hosts: &[(Vec<usize>, bool)],
+    rank_keys: &[u64],
+    cursor: usize,
+) -> (Cluster, ArrayOrders) {
+    let n = hosts.len();
+    let mut cluster = Cluster::homogeneous(
+        n,
+        ServerPowerModel::prototype(),
+        ServerCapacity {
+            cores: capacity.0,
+            memory_gb: capacity.1,
+        },
+        MigrationSpec::default(),
+    )
+    .expect("non-empty fleet");
+    cluster.power_on_all();
+    let mut next_id = 1_000_000;
+    for (i, (prefill, online)) in hosts.iter().enumerate() {
+        let host = cluster.host_mut(i).expect("host exists");
+        for &k in prefill {
+            next_id += 1;
+            // Prefill only what fits; the rest is simply not placed.
+            let _ = host.admit(Vm::new(VmId(next_id), WorkloadKind::ALL[k]));
+        }
+        if !*online {
+            host.power_off();
+        }
+    }
+    let modes = (0..5)
+        .map(|m| {
+            let keys = &rank_keys[m * n..(m + 1) * n];
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_by_key(|&i| keys[i as usize]);
+            order
+        })
+        .collect();
+    (cluster, ArrayOrders { cursor, modes })
+}
+
+/// The reference pass: every VM walks every host in its spec's order,
+/// with no skipping. Returns the VMs left queued.
+fn reference_pass(
+    queue: Vec<Vm>,
+    spec: PlacementSpec,
+    orders: &mut ArrayOrders,
+    cluster: &mut Cluster,
+) -> Vec<Vm> {
+    let n = cluster.len();
+    let mut left = Vec::new();
+    for vm in queue {
+        let kind = vm.kind();
+        let walk: Vec<usize> = match spec {
+            PlacementSpec::FirstFit => (0..n).collect(),
+            PlacementSpec::RoundRobin => {
+                let start = orders.cursor % n;
+                orders.cursor = (orders.cursor + 1) % n;
+                (0..n).map(|r| (start + r) % n).collect()
+            }
+            PlacementSpec::WeightedAging { server_power } => {
+                let class = kind
+                    .profile()
+                    .classify(server_power.idle(), server_power.peak());
+                orders.modes[class_index(class)]
+                    .iter()
+                    .map(|&i| i as usize)
+                    .collect()
+            }
+            PlacementSpec::LifetimeNat => orders.modes[4].iter().map(|&i| i as usize).collect(),
+            PlacementSpec::Custom => unreachable!("not generated"),
+        };
+        let target = walk.into_iter().find(|&i| {
+            let host = cluster.host(i).expect("host exists");
+            host.is_online() && host.fits(kind.resource_request())
+        });
+        match target {
+            Some(i) => cluster
+                .host_mut(i)
+                .expect("host exists")
+                .admit(vm)
+                .expect("fits"),
+            None => left.push(vm),
+        }
+    }
+    left
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dominated-request skip is exact: on random fleets (capacity,
+    /// prefill, online flags, rankings, cursor) and random mixed queues,
+    /// a pass through [`AdmissionPass`] admits the same VMs to the same
+    /// hosts, leaves the same VMs queued in the same order, and ends with
+    /// the same round-robin cursor as a pass that walks every VM over
+    /// every host — under every declarative placement spec.
+    #[test]
+    fn admission_skip_matches_full_walk(
+        capacity in (2u32..14, 4u32..24),
+        hosts in vec((vec(0usize..6, 0..4), 0u8..5), 1..12),
+        queue in vec(0usize..6, 0..48),
+        rank_keys in vec(0u64..1_000_000, 60),
+        cursor in 0usize..12,
+        spec in 0usize..4,
+    ) {
+        let hosts: Vec<(Vec<usize>, bool)> =
+            hosts.into_iter().map(|(prefill, on)| (prefill, on > 0)).collect();
+        let spec = specs()[spec];
+        let vms = || -> Vec<Vm> {
+            queue
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| Vm::new(VmId(i as u64), WorkloadKind::ALL[k]))
+                .collect()
+        };
+
+        let (mut ref_cluster, mut ref_orders) = random_fleet(capacity, &hosts, &rank_keys, cursor);
+        let ref_left = reference_pass(vms(), spec, &mut ref_orders, &mut ref_cluster);
+
+        let (mut cluster, mut orders) = random_fleet(capacity, &hosts, &rank_keys, cursor);
+        let mut stats = AdmissionStats::default();
+        let mut pass = AdmissionPass::new(&mut stats);
+        let mut left = Vec::new();
+        for vm in vms() {
+            if let Some(vm) = pass.offer(vm, spec, &mut orders, &mut cluster).expect("offer") {
+                left.push(vm);
+            }
+        }
+
+        let ids = |vms: &[Vm]| vms.iter().map(Vm::id).collect::<Vec<_>>();
+        prop_assert_eq!(ids(&left), ids(&ref_left));
+        for i in 0..cluster.len() {
+            let placed = |c: &Cluster| -> Vec<VmId> {
+                c.host(i).expect("host exists").vms().map(Vm::id).collect()
+            };
+            prop_assert_eq!(placed(&cluster), placed(&ref_cluster));
+        }
+        prop_assert_eq!(&cluster, &ref_cluster);
+        prop_assert_eq!(orders.cursor, ref_orders.cursor);
+        prop_assert_eq!(stats.passes, 1);
+        prop_assert_eq!(stats.vms_tried, queue.len() as u64);
+        prop_assert!(stats.hosts_examined <= (queue.len() * cluster.len()) as u64);
+    }
 }
 
 proptest! {
@@ -210,6 +397,55 @@ proptest! {
         ).expect("faulted simulation runs");
         prop_assert_eq!(report.events.to_jsonl(), replay.events.to_jsonl());
     }
+}
+
+/// A worked admission pass: four 2-core hosts fill with Word Count VMs,
+/// then each request no smaller than one that already failed everywhere
+/// is returned unwalked — while the round-robin cursor still advances
+/// once per VM.
+#[test]
+fn dominated_requests_skip_the_walk_but_advance_the_cursor() {
+    let hosts = vec![(Vec::new(), true); 4];
+    let (mut cluster, mut orders) = random_fleet((2, 4), &hosts, &[0; 20], 0);
+    let kinds = [
+        WorkloadKind::WordCount,       // (2, 4): fits host 0
+        WorkloadKind::WordCount,       // fits host 1
+        WorkloadKind::WordCount,       // fits host 2
+        WorkloadKind::WordCount,       // fits host 3
+        WorkloadKind::SoftwareTesting, // (6, 8): walks all 4, fails
+        WorkloadKind::NutchIndexing,   // (4, 8): not dominated, walks 4
+        WorkloadKind::DataAnalytics,   // (4, 8): dominated, skipped
+        WorkloadKind::KMeans,          // (4, 6): not dominated, walks 4
+    ];
+    let mut stats = AdmissionStats::default();
+    let mut pass = AdmissionPass::new(&mut stats);
+    let mut left = Vec::new();
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let vm = Vm::new(VmId(i as u64), kind);
+        if let Some(vm) = pass
+            .offer(vm, PlacementSpec::RoundRobin, &mut orders, &mut cluster)
+            .expect("offer")
+        {
+            left.push(vm.id());
+        }
+    }
+    assert_eq!(left, vec![VmId(4), VmId(5), VmId(6), VmId(7)]);
+    assert_eq!(
+        stats,
+        AdmissionStats {
+            passes: 1,
+            vms_tried: 8,
+            // Each Word Count starts at a fresh cursor host and fits
+            // there; three failed walks examine all four hosts.
+            hosts_examined: 4 + 3 * 4,
+            dominated_skips: 1,
+        }
+    );
+    assert_eq!(
+        orders.cursor,
+        8 % 4,
+        "every VM, skipped or not, moves the cursor"
+    );
 }
 
 /// A fork must happen before the earliest fault arms: installing a plan
